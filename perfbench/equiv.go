@@ -17,11 +17,25 @@ import (
 	"repro/internal/paper"
 )
 
-// Sizes of the equiv workload: Algorithm 2-style wide graphs of wideWidth
-// independent instances at two depths.
-const wideWidth = 1024
+// Sizes of the equiv workload: wideGraphs Algorithm 2-style wide graphs of
+// wideWidth independent instances at each of two depths. Many narrow graphs
+// rather than one wide one keep each engine call's working set in the cache,
+// so the figures measure the engines and not the host's memory traffic.
+const (
+	wideWidth  = 128
+	wideGraphs = 8
+)
 
 var wideDepths = [2]int{2, 8}
+
+// largeWidth and largeDepth size the one wide graph the traced run times on
+// every dataflow engine beside the job: the width at which the parallel
+// engine has been measured tying the sequential one. The timed job stays at
+// wideWidth, whose working set is small enough for steady figures.
+const (
+	largeWidth = 8192
+	largeDepth = 4
+)
 
 // graphCase is one graph of the equiv job and its oracle: the outputs the
 // generator computed arithmetically, as "value@tag" strings per terminal
@@ -101,14 +115,16 @@ func wideGraph(rng *rand.Rand, width, depth int) (*gf.Graph, map[string][]string
 func equivCases(seed int64, tr *tracer, root int) ([]graphCase, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var cases []graphCase
-	for _, d := range wideDepths {
-		id := tr.start("dataflow.build", "wide", root, 0)
-		g, want, err := wideGraph(rng, wideWidth, d)
-		if err != nil {
-			return nil, fmt.Errorf("wide graph: %w", err)
+	for i := 0; i < wideGraphs; i++ {
+		for _, d := range wideDepths {
+			id := tr.start("dataflow.build", "wide", root, 0)
+			g, want, err := wideGraph(rng, wideWidth, d)
+			if err != nil {
+				return nil, fmt.Errorf("wide graph: %w", err)
+			}
+			tr.end(id, int64(len(g.Nodes)))
+			cases = append(cases, graphCase{class: fmt.Sprintf("wide-d%d", d), g: g, want: want})
 		}
-		tr.end(id, int64(len(g.Nodes)))
-		cases = append(cases, graphCase{class: fmt.Sprintf("wide-d%d", d), g: g, want: want})
 	}
 
 	x, y, k, j := rng.Int63n(100), rng.Int63n(100), rng.Int63n(100), rng.Int63n(100)
@@ -297,7 +313,7 @@ func runEquivCases(cases []graphCase, out *outcome) jobRep {
 func runEquiv(cfg config, tr *tracer) (*outcome, error) {
 	out := newOutcome()
 	var cases []graphCase
-	err := setupMedian(tr, out, func(t *tracer, root int) error {
+	err := setupMedian(setups, tr, out, func(t *tracer, root int) error {
 		var err error
 		if cases, err = equivCases(cfg.seed, t, root); err != nil {
 			return err
@@ -341,6 +357,36 @@ func runEquiv(cfg config, tr *tracer) (*outcome, error) {
 		out.set("core.reactions", "count", counts.ratio("reactions", "reps"))
 		out.set("core.elements", "count", counts.ratio("elements", "reps"))
 		out.set("compiler.compile_ms", "ms", tr.medianDur("compiler.compile", "", time.Millisecond))
+		if err := largeGraphSpeedups(cfg.seed, out); err != nil {
+			return nil, err
+		}
 	}
 	return out, selfPeakRSS(out)
+}
+
+// largeGraphSpeedups runs the large wide graph minReps times on each dataflow
+// engine, checks every result against the generator's arithmetic, and sets
+// the sequential engine's median wall over each other engine's.
+func largeGraphSpeedups(seed int64, out *outcome) error {
+	g, want, err := wideGraph(rand.New(rand.NewSource(seed)), largeWidth, largeDepth)
+	if err != nil {
+		return fmt.Errorf("large wide graph: %w", err)
+	}
+	wall := map[string]float64{}
+	for _, eng := range dfEngines {
+		var ds []float64
+		for rep := 0; rep < minReps; rep++ {
+			start := time.Now()
+			res, err := gf.RunGraph(g, graphOptions(eng))
+			ds = append(ds, ms(time.Since(start)))
+			out.op(err, err == nil && agrees(render(res.Outputs), want), "large wide graph on "+eng)
+		}
+		wall[eng] = median(ds)
+	}
+	out.notef("large wide graph %dx%d: seq %.1f ms, matrix %.1f ms, parallel %.1f ms",
+		largeWidth, largeDepth, wall[gf.EngineSeq], wall[gf.EngineMatrix], wall[gf.EngineParallel])
+	for _, eng := range []string{gf.EngineMatrix, gf.EngineParallel} {
+		out.set("dataflow."+eng+"_speedup.large", "ratio", wall[gf.EngineSeq]/wall[eng])
+	}
+	return nil
 }

@@ -28,7 +28,7 @@ func (t tally) ratio(num, den string) float64 {
 type jobRep func(tr *tracer, root int, counts tally) (engine time.Duration, firings int64)
 
 // timeJob repeats the fixed job until the run's seconds are spent and sets
-// firings_per_s and latency_p50_ms from the medians. In a traced run the
+// firings_per_s from the median engine time. In a traced run the
 // repetitions alternate between traced and untraced, so the difference of
 // their medians is the tracing overhead, and the traced ones feed the
 // per-layer metrics through counts.
@@ -38,6 +38,7 @@ func timeJob(cfg config, tr *tracer, out *outcome, counts tally, rep jobRep) {
 	var gc0, gc1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&gc0)
+	out.notef("live heap before the timed phase: %.1f MiB", float64(gc0.HeapAlloc)/(1<<20))
 	deadline := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
 	var tracedWall time.Duration
 	for i := 0; i < minReps || time.Now().Before(deadline); i++ {
@@ -66,9 +67,9 @@ func timeJob(cfg config, tr *tracer, out *outcome, counts tally, rep jobRep) {
 	runtime.ReadMemStats(&gc1)
 
 	p50 := median(engine)
-	out.setN("latency_p50_ms", "ms", p50, len(engine))
 	out.setN("firings_per_s", "1/s", float64(firings)/(p50/1e3), len(engine))
-	out.notef("job: %d firings per repetition, %d untraced repetitions", firings, len(engine))
+	out.notef("job: %d firings per repetition; engine time over %d untraced repetitions: min %.1f, q1 %.1f, median %.1f, q3 %.1f, max %.1f ms",
+		firings, len(engine), quantile(engine, 0), quantile(engine, 0.25), p50, quantile(engine, 0.75), quantile(engine, 1))
 	if tr == nil {
 		return
 	}
@@ -106,16 +107,18 @@ func allocsAround(traced bool, counts tally, f func()) {
 	counts["bytes"] += float64(b.TotalAlloc - a.TotalAlloc)
 }
 
-// setups is how many times a run sets its workload up.
-const setups = 5
+// setups is how many times an in-process run sets its workload up. A set-up
+// takes tens of milliseconds, where a scheduling hiccup is a large share, so
+// the median is taken over many.
+const setups = 15
 
-// setupMedian runs the workload's set-up setups times, each from a collected
+// setupMedian runs the workload's set-up n times, each from a collected
 // heap, and reports the median as setup_s; the last set-up's state is the one
 // the run uses. Spans of the set-up sit under a "setup.run" root, which the
 // timed-wall accounting skips.
-func setupMedian(tr *tracer, out *outcome, setup func(t *tracer, root int) error) error {
+func setupMedian(n int, tr *tracer, out *outcome, setup func(t *tracer, root int) error) error {
 	var ds []float64
-	for i := 0; i < setups; i++ {
+	for i := 0; i < n; i++ {
 		runtime.GC()
 		start := time.Now()
 		root := tr.start("setup.run", "", noSpan, int64(i))

@@ -18,7 +18,7 @@ func TestCorruptedGammaResultIsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := gammaJob{class: "min", prog: prog, init: gf.NewMultiset(scalars([]int64{5, 3, 9})...),
+	good := gammaJob{class: "min", prog: prog, elems: scalars([]int64{5, 3, 9}),
 		want: []gf.Tuple{gf.ScalarElem(gf.Int(3))}}
 	bad := good
 	bad.want = []gf.Tuple{gf.ScalarElem(gf.Int(4))}

@@ -15,15 +15,19 @@ import (
 // give different instances of the same job. The engines' cost depends on the
 // drawn layout (which element the matcher meets first), so each job holds
 // instances draws of every class: one unlucky draw moves a run's figure by a
-// fraction of its share, not by the whole of it.
+// fraction of its share, not by the whole of it. The instances are small, so
+// that one engine call's multiset (about a kilobyte per element) stays
+// within a core's cache: on a host whose memory other tenants share, a job
+// that lives in main memory moves by a quarter between runs minutes apart.
+// The traced run times the large sizes separately (largeMinN, largeTourLog).
 const (
-	instances   = 4    // draws of every class in one job
-	minN        = 1500 // reduce-seq: Eq. 2 min at minN and 4·minN
-	seededMinN  = 400  // reduce-seq: the same min with Options.Seed ≠ 0
-	sieveN      = 300  // reduce-seq: pairwise sieve over 2..sieveN
-	tourLog     = 13   // reduce-par: labeled tournament of 2^tourLog elements
-	parMinN     = 3000 // reduce-par: Eq. 2 min
-	warmupElems = 64   // elements of the set-up's warm-up runs
+	instances   = 16  // draws of every class in one job
+	minN        = 400 // reduce-seq: Eq. 2 min at minN and 4·minN
+	seededMinN  = 100 // reduce-seq: the same min with Options.Seed ≠ 0
+	sieveN      = 150 // reduce-seq: pairwise sieve over 2..sieveN
+	tourLog     = 11  // reduce-par: labeled tournament of 2^tourLog elements
+	parMinN     = 800 // reduce-par: Eq. 2 min
+	warmupElems = 64  // elements of the set-up's warm-up runs
 )
 
 // sieveSource is the pairwise sieve: an element divisible by another one
@@ -44,11 +48,15 @@ func tournamentSource(stages int) string {
 }
 
 // gammaJob is one engine call of a reduce job: a program, the generated
-// initial multiset, the options, and the oracle's expected stable state.
+// elements of the initial multiset, the options, and the oracle's expected
+// stable state. The job keeps the elements, not a built multiset: a built
+// multiset holds about a kilobyte per element, and a dozen of them kept
+// alive would make every repetition's collections and caches pay for
+// instances it is not running.
 type gammaJob struct {
 	class string
 	prog  *gf.Program
-	init  *gf.Multiset
+	elems []gf.Tuple
 	opt   gf.ProgramOptions
 	want  []gf.Tuple // the stable multiset, computed without the engine
 }
@@ -151,7 +159,7 @@ func reduceSeqJobs(seed int64, tr *tracer, root int) ([]gammaJob, error) {
 			xs := distinctInts(rng, c.n)
 			opt := gf.ProgramOptions{}
 			opt.Seed = c.seed
-			jobs = append(jobs, gammaJob{class: c.class, prog: minProg, init: build(tr, root, c.class, scalars(xs)),
+			jobs = append(jobs, gammaJob{class: c.class, prog: minProg, elems: scalars(xs),
 				opt: opt, want: []gf.Tuple{gf.ScalarElem(gf.Int(minOf(xs)))}})
 		}
 		// The sieve's set is fixed by its size; the seed draws the insertion
@@ -160,7 +168,7 @@ func reduceSeqJobs(seed int64, tr *tracer, root int) ([]gammaJob, error) {
 		for _, v := range rng.Perm(sieveN - 1) {
 			xs = append(xs, int64(v+2))
 		}
-		jobs = append(jobs, gammaJob{class: "sieve", prog: sieve, init: build(tr, root, "sieve", scalars(xs)),
+		jobs = append(jobs, gammaJob{class: "sieve", prog: sieve, elems: scalars(xs),
 			want: scalars(primesUpTo(sieveN))})
 	}
 	return jobs, nil
@@ -184,24 +192,30 @@ func reduceParJobs(seed int64, tr *tracer, root int) ([]gammaJob, error) {
 
 	var jobs []gammaJob
 	for i := 0; i < instances; i++ {
-		xs := distinctInts(rng, 1<<tourLog)
-		ts := make([]gf.Tuple, len(xs))
-		for i, x := range xs {
-			ts[i] = gf.PairElem(gf.Int(x), "L0")
-		}
-		tourOpt := par
-		tourOpt.Seed = 1 + rng.Int63n(1<<30)
-		winner := gf.PairElem(gf.Int(minOf(xs)), fmt.Sprintf("L%d", tourLog))
-		jobs = append(jobs, gammaJob{class: "tournament", prog: tour, init: build(tr, root, "tournament", ts),
-			opt: tourOpt, want: []gf.Tuple{winner}})
+		jobs = append(jobs, tournamentJob(rng, tour, tourLog, par))
 
 		ys := distinctInts(rng, parMinN)
 		minOpt := par
 		minOpt.Seed = 1 + rng.Int63n(1<<30)
-		jobs = append(jobs, gammaJob{class: "min-par", prog: minProg, init: build(tr, root, "min-par", scalars(ys)),
+		jobs = append(jobs, gammaJob{class: "min-par", prog: minProg, elems: scalars(ys),
 			opt: minOpt, want: []gf.Tuple{gf.ScalarElem(gf.Int(minOf(ys)))}})
 	}
 	return jobs, nil
+}
+
+// tournamentJob draws one labeled tournament over 2^stages elements for the
+// parallel options par; prog is tournamentSource(stages).
+func tournamentJob(rng *rand.Rand, prog *gf.Program, stages int, par gf.ProgramOptions) gammaJob {
+	xs := distinctInts(rng, 1<<stages)
+	ts := make([]gf.Tuple, len(xs))
+	for i, x := range xs {
+		ts[i] = gf.PairElem(gf.Int(x), "L0")
+	}
+	opt := par
+	opt.Seed = 1 + rng.Int63n(1<<30)
+	winner := gf.PairElem(gf.Int(minOf(xs)), fmt.Sprintf("L%d", stages))
+	return gammaJob{class: "tournament", prog: prog, elems: ts,
+		opt: opt, want: []gf.Tuple{winner}}
 }
 
 // warmUp runs each class's program once on a small copy of the first
@@ -213,13 +227,7 @@ func warmUp(tr *tracer, root int, jobs []gammaJob) error {
 			continue
 		}
 		seen[j.class] = true
-		m := gf.NewMultiset()
-		n := 0
-		j.init.ForEach(func(t gf.Tuple, c int) bool {
-			m.Add(t)
-			n++
-			return n < warmupElems
-		})
+		m := gf.NewMultiset(j.elems[:min(warmupElems, len(j.elems))]...)
 		id := tr.start("gamma.run", "warmup", root, 0)
 		st, err := gf.RunProgram(j.prog, m, j.opt)
 		tr.end(id, steps(st))
@@ -244,9 +252,7 @@ func runGammaJobs(jobs []gammaJob, out *outcome) jobRep {
 		var engine time.Duration
 		var firings int64
 		for _, j := range jobs {
-			cid := tr.start("multiset.clone", j.class, root, 0)
-			m := j.init.Clone()
-			tr.end(cid, int64(m.Len()))
+			m := build(tr, root, j.class, j.elems)
 
 			var st *gf.ProgramStats
 			var err error
@@ -295,7 +301,7 @@ func gammaLayerMetrics(tr *tracer, out *outcome, counts tally, classes []string)
 func runReduceSeq(cfg config, tr *tracer) (*outcome, error) {
 	out := newOutcome()
 	var jobs []gammaJob
-	err := setupMedian(tr, out, func(t *tracer, root int) error {
+	err := setupMedian(setups, tr, out, func(t *tracer, root int) error {
 		var err error
 		if jobs, err = reduceSeqJobs(cfg.seed, t, root); err != nil {
 			return err
@@ -309,19 +315,53 @@ func runReduceSeq(cfg config, tr *tracer) (*outcome, error) {
 	timeJob(cfg, tr, out, counts, runGammaJobs(jobs, out))
 	if tr != nil {
 		gammaLayerMetrics(tr, out, counts, []string{"min", "min-4n", "min-seeded", "sieve"})
-		// µs per firing at 4n over µs per firing at n: 1 when a step of min
-		// costs the same at any size.
-		if base := tr.perUnit("gamma.run", "min", time.Microsecond); base > 0 {
-			out.set("gamma.min_scaling", "ratio", tr.perUnit("gamma.run", "min-4n", time.Microsecond)/base)
+		scaling, err := minScaling(cfg.seed, out)
+		if err != nil {
+			return nil, err
 		}
+		out.set("gamma.min_scaling", "ratio", scaling)
 	}
 	return out, selfPeakRSS(out)
+}
+
+// largeMinN sizes the min instances gamma.min_scaling compares, n and 4n,
+// well past the job's sizes: a step whose cost grows with n shows there, in
+// the cache and memory traffic of large multisets as much as in the matcher.
+const largeMinN = 5000
+
+// minScaling runs sequential min minReps times at largeMinN and at
+// 4·largeMinN, untimed by the job, and returns µs per firing at 4n over µs
+// per firing at n: 1 when a step of min costs the same at any size.
+func minScaling(seed int64, out *outcome) (float64, error) {
+	prog, err := gf.ParseProgram("min", paper.MinElementListing)
+	if err != nil {
+		return 0, fmt.Errorf("parse min: %w", err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	usPerFiring := func(n int) float64 {
+		var d time.Duration
+		var firings int64
+		for rep := 0; rep < minReps; rep++ {
+			xs := distinctInts(rng, n)
+			m := gf.NewMultiset(scalars(xs)...)
+			start := time.Now()
+			st, err := gf.RunProgram(prog, m, gf.ProgramOptions{})
+			d += time.Since(start)
+			firings += steps(st)
+			out.op(err, err == nil && matches(m, []gf.Tuple{gf.ScalarElem(gf.Int(minOf(xs)))}),
+				fmt.Sprintf("min at %d (scaling check)", n))
+		}
+		return float64(d) / float64(time.Microsecond) / float64(max(firings, 1))
+	}
+	small, large := usPerFiring(largeMinN), usPerFiring(4*largeMinN)
+	out.notef("min scaling: %.2f µs per firing at n=%d, %.2f at 4n", small, largeMinN, large)
+	return large / small, nil
 }
 
 func runReducePar(cfg config, tr *tracer) (*outcome, error) {
 	out := newOutcome()
 	var jobs []gammaJob
-	err := setupMedian(tr, out, func(t *tracer, root int) error {
+	err := setupMedian(setups, tr, out, func(t *tracer, root int) error {
 		var err error
 		if jobs, err = reduceParJobs(cfg.seed, t, root); err != nil {
 			return err
@@ -335,15 +375,38 @@ func runReducePar(cfg config, tr *tracer) (*outcome, error) {
 	timeJob(cfg, tr, out, counts, runGammaJobs(jobs, out))
 	if tr != nil {
 		gammaLayerMetrics(tr, out, counts, []string{"tournament", "min-par"})
-		out.set("gamma.parallel_speedup", "ratio", parallelSpeedup(jobs, out))
+		out.set("gamma.parallel_speedup", "ratio", parallelSpeedup("job", jobs, out))
+		large, err := largeTournament(cfg.seed)
+		if err != nil {
+			return nil, err
+		}
+		out.set("gamma.parallel_speedup.large", "ratio", parallelSpeedup("2^17 tournament", []gammaJob{large}, out))
 	}
 	return out, selfPeakRSS(out)
 }
 
-// parallelSpeedup times the reduce-par job on the sequential engine and on
-// the parallel one, untraced, and returns sequential wall over parallel wall:
+// largeTourLog sizes the one tournament the traced run times on both
+// engines beside the job: 2^17 elements, past the size at which the parallel
+// engine has been measured losing to the sequential one. The timed job stays
+// at 2^tourLog, whose working set is small enough for steady figures.
+const largeTourLog = 17
+
+// largeTournament draws the large tournament from the seed.
+func largeTournament(seed int64) (gammaJob, error) {
+	prog, err := gf.ParseProgram("tournament", tournamentSource(largeTourLog))
+	if err != nil {
+		return gammaJob{}, fmt.Errorf("parse tournament: %w", err)
+	}
+	par := gf.ProgramOptions{}
+	par.Engine = gf.EngineParallel
+	par.Workers = runtime.NumCPU()
+	return tournamentJob(rand.New(rand.NewSource(seed)), prog, largeTourLog, par), nil
+}
+
+// parallelSpeedup times jobs (what names them) on the sequential engine and
+// on the parallel one, untraced, and returns sequential wall over parallel wall:
 // above 1 when the workers beat one.
-func parallelSpeedup(jobs []gammaJob, out *outcome) float64 {
+func parallelSpeedup(what string, jobs []gammaJob, out *outcome) float64 {
 	wall := func(seq bool) float64 {
 		var ds []float64
 		for rep := 0; rep < minReps; rep++ {
@@ -356,7 +419,7 @@ func parallelSpeedup(jobs []gammaJob, out *outcome) float64 {
 					// engine a speedup should compare against.
 					opt.Engine, opt.Workers, opt.Seed = gf.EngineSeq, 1, 0
 				}
-				m := j.init.Clone()
+				m := gf.NewMultiset(j.elems...)
 				start := time.Now()
 				_, err := gf.RunProgram(j.prog, m, opt)
 				total += time.Since(start)
@@ -367,6 +430,6 @@ func parallelSpeedup(jobs []gammaJob, out *outcome) float64 {
 		return median(ds)
 	}
 	seq, par := wall(true), wall(false)
-	out.notef("parallel speedup: sequential %.1f ms, parallel %.1f ms per job", seq, par)
+	out.notef("parallel speedup, %s: sequential %.1f ms, parallel %.1f ms", what, seq, par)
 	return seq / par
 }

@@ -45,6 +45,8 @@ const (
 	statsEvery = 3
 	// capacityWindow is the request count of one closed-loop window.
 	capacityWindow = 200
+	// serveSetups is how many times a run starts and warms gammad up.
+	serveSetups = 7
 )
 
 // ladder is the fixed sequence of offered rates sustained_rps climbs.
@@ -147,7 +149,7 @@ func startGammad(path string) (*gammad, error) {
 	}
 	g := &gammad{cmd: cmd, exited: make(chan error, 1)}
 	go func() { g.exited <- cmd.Wait() }()
-	g.tr = &http.Transport{MaxIdleConnsPerHost: 2 * runtime.NumCPU()}
+	g.tr = &http.Transport{MaxIdleConnsPerHost: closedConns()}
 	g.c = client.New("http://" + addr)
 	g.c.HTTPClient = &http.Client{Transport: g.tr}
 
@@ -207,7 +209,8 @@ func (s *sample) latencyMS() float64 { return ms(s.done.Sub(s.due)) }
 func (s *sample) rttMS() float64     { return ms(s.done.Sub(s.sent)) }
 func (s *sample) lateMS() float64    { return ms(s.sent.Sub(s.due)) }
 
-// loadgen sends pool requests over at most NumCPU connections.
+// loadgen sends pool requests: the open loops over at most NumCPU
+// connections, the closed loops over closedConns.
 type loadgen struct {
 	c     *client.Client
 	pool  []reqCase
@@ -281,13 +284,18 @@ func (lg *loadgen) openLoop(ctx context.Context, rate float64, dur time.Duration
 	return samples
 }
 
-// closedLoopN sends n requests over NumCPU connections, each sent as soon
-// as the connection's previous one returns.
+// closedConns is the connection count of the closed loops: enough requests
+// in flight that the server always has the next one queued, so capacity is
+// not paced by how fast an idle CPU wakes up.
+func closedConns() int { return 4 * runtime.NumCPU() }
+
+// closedLoopN sends n requests over closedConns connections, each sent as
+// soon as the connection's previous one returns.
 func (lg *loadgen) closedLoopN(ctx context.Context, n int) []sample {
 	samples := make([]sample, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < runtime.NumCPU(); w++ {
+	for w := 0; w < closedConns(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -301,9 +309,9 @@ func (lg *loadgen) closedLoopN(ctx context.Context, n int) []sample {
 	return samples
 }
 
-// capacity keeps NumCPU requests in flight back to back for dur, in windows
-// of capacityWindow, and returns every sample and the median over windows of
-// the firings the server committed per second.
+// capacity keeps closedConns requests in flight back to back for dur, in
+// windows of capacityWindow, and returns every sample and the median over
+// windows of the firings the server committed per second.
 func (lg *loadgen) capacity(ctx context.Context, dur time.Duration) ([]sample, float64) {
 	var all []sample
 	var rates []float64
@@ -375,7 +383,7 @@ func runServe(cfg config, tr *tracer) (*outcome, error) {
 			srv.stop()
 		}
 	}()
-	err := setupMedian(tr, out, func(t *tracer, root int) error {
+	err := setupMedian(serveSetups, tr, out, func(t *tracer, root int) error {
 		if srv != nil {
 			srv.stop()
 			srv = nil
@@ -410,29 +418,41 @@ func runServe(cfg config, tr *tracer) (*outcome, error) {
 		return time.Duration(share * cfg.seconds * float64(time.Second))
 	}
 	lg := &loadgen{c: srv.c, pool: pool}
-	var untracedLo []sample
-	if tr != nil {
-		// The untraced twin of the traced lo phase, for the overhead.
-		untracedLo = lg.openLoop(ctx, loRate, sec(0.15))
-		account(out, untracedLo, "lo untraced")
-		lg.tr, lg.stats = tr, true
+	if tr == nil {
+		// The end-to-end run measures capacity for the whole run: windows
+		// of a closed loop, whose median is steadier than any one phase.
+		closed, firingsPerS := lg.capacity(ctx, sec(1))
+		account(out, closed, "closed loop")
+		out.set("peak_rss_mb", "MiB", srv.stop())
+		srv = nil
+		out.setN("firings_per_s", "1/s", firingsPerS, len(closed))
+		return out, nil
 	}
-	phaseStart := time.Now()
+
+	// The lo and hi phases run untraced, so the latency figures never
+	// include tracing or RunStats fetches.
 	lo := lg.openLoop(ctx, loRate, sec(0.3))
 	hi := lg.openLoop(ctx, hiRate, sec(0.2))
-	tracedWall := time.Since(phaseStart)
-	lg.tr, lg.stats = nil, false
 	account(out, lo, "lo")
 	account(out, hi, "hi")
+	// Traced twins of the two phases feed the per-layer metrics; the
+	// untraced lo phase is the baseline of the tracing overhead.
+	lg.tr, lg.stats = tr, true
+	phaseStart := time.Now()
+	tracedLo := lg.openLoop(ctx, loRate, sec(0.15))
+	tracedHi := lg.openLoop(ctx, hiRate, sec(0.1))
+	tracedWall := time.Since(phaseStart)
+	lg.tr, lg.stats = nil, false
+	account(out, tracedLo, "lo traced")
+	account(out, tracedHi, "hi traced")
 	closed, firingsPerS := lg.capacity(ctx, sec(0.25))
 	account(out, closed, "closed loop")
 	rps := lg.sustained(ctx, out, sec(0.25)/time.Duration(len(ladder)))
 	out.set("peak_rss_mb", "MiB", srv.stop())
 	srv = nil
 
-	lat := func(ss []sample) []float64 { return pick(ss, (*sample).latencyMS) }
-	out.setN("latency_p50_ms", "ms", median(lat(lo)), len(lo))
 	out.setN("firings_per_s", "1/s", firingsPerS, len(closed))
+	lat := func(ss []sample) []float64 { return pick(ss, (*sample).latencyMS) }
 	for _, p := range []struct {
 		name string
 		ss   []sample
@@ -442,9 +462,7 @@ func runServe(cfg config, tr *tracer) (*outcome, error) {
 	}
 	out.set("serve.sustained_rps", "1/s", rps)
 	out.notef("offered rates: lo %d/s, hi %d/s; ladder limit p99 ≤ %d ms", loRate, hiRate, latencyLimitMS)
-	if tr != nil {
-		serveLayerMetrics(tr, out, pool, append(lo, hi...), untracedLo, lo, tracedWall)
-	}
+	serveLayerMetrics(tr, out, pool, append(tracedLo, tracedHi...), lo, tracedLo, tracedWall)
 	return out, nil
 }
 
