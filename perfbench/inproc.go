@@ -21,19 +21,24 @@ func (t tally) ratio(num, den string) float64 {
 	return t[num] / t[den]
 }
 
-// jobRep runs the workload's fixed job once. It reports the wall time spent
-// inside the engines and conversions (input cloning and oracle checks are the
-// benchmark's own work and excluded) and the firings they committed. tr is
-// nil on untraced repetitions; root is the repetition's span.
-type jobRep func(tr *tracer, root int, counts tally) (engine time.Duration, firings int64)
+// jobRep runs the workload's fixed job once. It reports the wall time of
+// each call into the engines and conversions, in the job's fixed order (input
+// cloning and oracle checks are the benchmark's own work and excluded), and
+// the firings they committed. tr is nil on untraced repetitions; root is the
+// repetition's span.
+type jobRep func(tr *tracer, root int, counts tally) (calls []time.Duration, firings int64)
 
 // timeJob repeats the fixed job until the run's seconds are spent and sets
-// firings_per_s from the median engine time. In a traced run the
-// repetitions alternate between traced and untraced, so the difference of
-// their medians is the tracing overhead, and the traced ones feed the
-// per-layer metrics through counts.
+// firings_per_s from the typical job time: the sum over the job's calls of
+// each call's median over the untraced repetitions. A hiccup of the host or
+// the collector lands in one call of one repetition, which a per-call
+// median drops, where it would move the whole repetition's total. In a traced
+// run the repetitions alternate between traced and untraced, so the
+// difference of their medians is the tracing overhead, and the traced ones
+// feed the per-layer metrics through counts.
 func timeJob(cfg config, tr *tracer, out *outcome, counts tally, rep jobRep) {
-	var engine, traced, untraced []float64
+	var totals, traced, untraced []float64
+	var perCall [][]float64
 	var firings int64
 	var gc0, gc1 runtime.MemStats
 	runtime.GC()
@@ -51,25 +56,36 @@ func timeJob(cfg config, tr *tracer, out *outcome, counts tally, rep jobRep) {
 		runtime.GC()
 		start := time.Now()
 		root := t.start("bench.rep", "", noSpan, int64(i))
-		d, f := rep(t, root, counts)
+		calls, f := rep(t, root, counts)
 		t.end(root, f)
 		wall := time.Since(start)
+		firings = f
 		if t != nil {
 			traced = append(traced, ms(wall))
 			tracedWall += wall
 			counts["reps"]++
-		} else {
-			untraced = append(untraced, ms(wall))
-			engine = append(engine, ms(d))
+			continue
 		}
-		firings = f
+		untraced = append(untraced, ms(wall))
+		var total time.Duration
+		for k, d := range calls {
+			if k == len(perCall) {
+				perCall = append(perCall, nil)
+			}
+			perCall[k] = append(perCall[k], ms(d))
+			total += d
+		}
+		totals = append(totals, ms(total))
 	}
 	runtime.ReadMemStats(&gc1)
 
-	p50 := median(engine)
-	out.setN("firings_per_s", "1/s", float64(firings)/(p50/1e3), len(engine))
-	out.notef("job: %d firings per repetition; engine time over %d untraced repetitions: min %.1f, q1 %.1f, median %.1f, q3 %.1f, max %.1f ms",
-		firings, len(engine), quantile(engine, 0), quantile(engine, 0.25), p50, quantile(engine, 0.75), quantile(engine, 1))
+	typical := 0.0
+	for _, ds := range perCall {
+		typical += median(ds)
+	}
+	out.setN("firings_per_s", "1/s", float64(firings)/(typical/1e3), len(totals))
+	out.notef("job: %d firings and %d engine calls per repetition; typical engine time (sum of per-call medians) %.1f ms; totals over %d untraced repetitions: min %.1f, q1 %.1f, median %.1f, q3 %.1f, max %.1f ms",
+		firings, len(perCall), typical, len(totals), quantile(totals, 0), quantile(totals, 0.25), median(totals), quantile(totals, 0.75), quantile(totals, 1))
 	if tr == nil {
 		return
 	}
@@ -110,7 +126,7 @@ func allocsAround(traced bool, counts tally, f func()) {
 // setups is how many times an in-process run sets its workload up. A set-up
 // takes tens of milliseconds, where a scheduling hiccup is a large share, so
 // the median is taken over many.
-const setups = 15
+const setups = 31
 
 // setupMedian runs the workload's set-up n times, each from a collected
 // heap, and reports the median as setup_s; the last set-up's state is the one

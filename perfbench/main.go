@@ -34,6 +34,10 @@ type config struct {
 	traced   bool
 	gammad   string
 	commit   string
+	// tracedEvery makes every tracedEvery-th serve request ask for a
+	// server trace; 0 asks for none. README.md says why none is the
+	// default.
+	tracedEvery int64
 }
 
 // outcome collects one workload's results: operation accounting, the metric
@@ -127,6 +131,7 @@ func main() {
 	flag.IntVar(&traceFlag, "trace", 0, "0: end-to-end metrics, tracing off; 1: traced run, per-layer metrics")
 	flag.StringVar(&cfg.gammad, "gammad", "", "path of the gammad binary (serve workload)")
 	flag.StringVar(&cfg.commit, "commit", "unknown", "commit the program was built from")
+	flag.Int64Var(&cfg.tracedEvery, "serve-traced-every", 0, "serve: every n-th request asks for a server trace (0: none)")
 	flag.Parse()
 	cfg.seconds = float64(seconds)
 	cfg.traced = traceFlag == 1

@@ -146,3 +146,25 @@ func TestQuantile(t *testing.T) {
 		t.Errorf("empty = %v, want 0", q)
 	}
 }
+
+// firings_per_s divides by the sum of per-call medians, so one slow call in
+// one repetition does not move it.
+func TestTimeJobTakesPerCallMedians(t *testing.T) {
+	rep := 0
+	job := func(tr *tracer, root int, counts tally) ([]time.Duration, int64) {
+		rep++
+		calls := []time.Duration{time.Millisecond, 3 * time.Millisecond}
+		if rep == 2 {
+			calls[1] = time.Second
+		}
+		return calls, 400
+	}
+	out := newOutcome()
+	timeJob(config{seconds: 0}, nil, out, tally{}, job)
+	if rep != minReps {
+		t.Fatalf("%d repetitions, want %d", rep, minReps)
+	}
+	if got := out.values["firings_per_s"].Value; got != 100_000 {
+		t.Errorf("firings_per_s = %v, want 100000 (400 firings in a typical 4 ms)", got)
+	}
+}

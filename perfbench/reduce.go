@@ -248,8 +248,8 @@ func steps(st *gf.ProgramStats) int64 {
 // runGammaJobs is the jobRep of both reduce workloads: every job once, each
 // on a fresh clone of its input, checked against its oracle.
 func runGammaJobs(jobs []gammaJob, out *outcome) jobRep {
-	return func(tr *tracer, root int, counts tally) (time.Duration, int64) {
-		var engine time.Duration
+	return func(tr *tracer, root int, counts tally) ([]time.Duration, int64) {
+		calls := make([]time.Duration, 0, len(jobs))
 		var firings int64
 		for _, j := range jobs {
 			m := build(tr, root, j.class, j.elems)
@@ -264,7 +264,7 @@ func runGammaJobs(jobs []gammaJob, out *outcome) jobRep {
 				d = time.Since(start)
 				tr.end(id, steps(st))
 			})
-			engine += d
+			calls = append(calls, d)
 			firings += steps(st)
 			out.op(err, err == nil && matches(m, j.want), j.class)
 			if tr != nil && st != nil {
@@ -277,7 +277,7 @@ func runGammaJobs(jobs []gammaJob, out *outcome) jobRep {
 				counts["batches"] += float64(st.Batches)
 			}
 		}
-		return engine, firings
+		return calls, firings
 	}
 }
 

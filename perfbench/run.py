@@ -69,10 +69,11 @@ def commit():
     return r.stdout.strip() if r.returncode == 0 else "unknown"
 
 
-def run_once(binary, gammad, workload, seed, seconds, trace, capture):
+def run_once(binary, gammad, workload, seed, seconds, trace, capture, traced_every=0):
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace),
-           "--gammad", gammad, "--commit", commit()]
+           "--gammad", gammad, "--commit", commit(),
+           "--serve-traced-every", str(traced_every)]
     env = dict(os.environ, TMPDIR=os.path.join(BUILD, "tmp"))
     try:
         r = subprocess.run(cmd, cwd=ROOT, env=env, timeout=seconds + 150,
@@ -109,6 +110,8 @@ def steady(binary, gammad, spec, args):
                 failed += res["failed"]
                 for m in bounds:
                     values[m].append(res["metrics"][m]["value"])
+                print("  seed %d: %s" % (seed, ", ".join(
+                    "%s %.6g" % (m, res["metrics"][m]["value"]) for m in bounds)))
             print("%s batch %d: %d runs, seeds %d.., %d failed operations"
                   % (name, batch + 1, args.runs, args.seed + 1000 * batch, failed))
             meds = {}
@@ -143,6 +146,8 @@ def main():
     ap.add_argument("--workloads", help="steadiness mode: comma-separated workloads")
     ap.add_argument("--runs", type=int, default=10, help="steadiness mode: runs per batch")
     ap.add_argument("--batches", type=int, default=1, help="steadiness mode: batches to compare")
+    ap.add_argument("--serve-traced-every", type=int, default=0,
+                    help="serve: every n-th request asks for a server trace (default 0: none; see README.md)")
     args = ap.parse_args()
     # Steadiness mode reports batch by batch; show each line as it comes.
     sys.stdout.reconfigure(line_buffering=True)
@@ -156,7 +161,7 @@ def main():
     if not args.workload:
         sys.exit("perfbench: --workload is required")
     run_once(binary, gammad, args.workload, args.seed,
-             args.seconds or spec["run_seconds"], args.trace, False)
+             args.seconds or spec["run_seconds"], args.trace, False, args.serve_traced_every)
 
 
 if __name__ == "__main__":

@@ -34,9 +34,6 @@ const (
 	latencyLimitMS = 50
 	// poolSize is the number of generated instances per request kind.
 	poolSize = 64
-	// tracedEvery makes every tracedEvery-th request ask for a server trace;
-	// it is prime to the four request kinds, so every kind gets traced.
-	tracedEvery = 9
 	// warmupRequests fills gammad's terminal-run ring (1024 runs by
 	// default), so the timed phases see the server's steady-state heap.
 	warmupRequests = 1200
@@ -50,7 +47,7 @@ const (
 )
 
 // ladder is the fixed sequence of offered rates sustained_rps climbs.
-var ladder = []float64{400, 600, 800, 1000, 1200, 1500, 2000}
+var ladder = []float64{400, 600, 800, 1000, 1200, 1500, 2000, 2500, 3000}
 
 // reqCase is one generated request and its oracle.
 type reqCase struct {
@@ -217,6 +214,9 @@ type loadgen struct {
 	seq   atomic.Int64
 	tr    *tracer
 	stats bool // fetch RunStats of every statsEvery-th request (traced run)
+	// tracedEvery makes every tracedEvery-th request ask for a server
+	// trace; 0 asks for none.
+	tracedEvery int64
 }
 
 // send issues request k of the pool and fills s.
@@ -224,7 +224,7 @@ func (lg *loadgen) send(ctx context.Context, s *sample, root int) {
 	k := lg.seq.Add(1) - 1
 	rc := lg.pool[int(k)%len(lg.pool)]
 	req := rc.req
-	req.Spec.Trace = k%tracedEvery == 0
+	req.Spec.Trace = lg.tracedEvery > 0 && k%lg.tracedEvery == 0
 	s.kind, s.traced = rc.kind, req.Spec.Trace
 	id := lg.tr.start("client.run", rc.kind, root, k)
 	s.sent = time.Now()
@@ -396,7 +396,7 @@ func runServe(cfg config, tr *tracer) (*outcome, error) {
 		// Warm-up: every kind, over the connections the phases use.
 		// Failed requests count like any other; set-up fails only when
 		// most of them do.
-		lg := &loadgen{c: srv.c, pool: pool}
+		lg := &loadgen{c: srv.c, pool: pool, tracedEvery: cfg.tracedEvery}
 		ss := lg.closedLoopN(ctx, warmupRequests)
 		account(out, ss, "warm-up")
 		failed := 0
@@ -417,7 +417,7 @@ func runServe(cfg config, tr *tracer) (*outcome, error) {
 	sec := func(share float64) time.Duration {
 		return time.Duration(share * cfg.seconds * float64(time.Second))
 	}
-	lg := &loadgen{c: srv.c, pool: pool}
+	lg := &loadgen{c: srv.c, pool: pool, tracedEvery: cfg.tracedEvery}
 	if tr == nil {
 		// The end-to-end run measures capacity for the whole run: windows
 		// of a closed loop, whose median is steadier than any one phase.
@@ -510,7 +510,11 @@ func serveLayerMetrics(tr *tracer, out *outcome, pool []reqCase, ss, untracedLo,
 			extra = append(extra, median(on)-median(off))
 		}
 	}
-	out.set("service.traced_extra_ms", "ms", mean(extra))
+	if len(extra) > 0 {
+		out.set("service.traced_extra_ms", "ms", mean(extra))
+	} else {
+		out.notef("service.traced_extra_ms not measured: no request asked for a trace (--serve-traced-every)")
+	}
 
 	lat := func(ss []sample) []float64 { return pick(ss, (*sample).latencyMS) }
 	out.set("trace.overhead_pct", "%", 100*(median(lat(tracedLo))/median(lat(untracedLo))-1))
