@@ -24,9 +24,11 @@ race:
 	$(GO) test -race ./...
 
 # One iteration per benchmark case: catches pathological engine regressions
-# without benchmark-grade runtimes (see EXPERIMENTS.md E16).
+# without benchmark-grade runtimes (see EXPERIMENTS.md E16), plus the layer
+# microbenchmarks for the matcher probe and multiset construction.
 bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkGammaIncremental -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkGammaIncremental|BenchmarkProbe|BenchmarkBuild' -benchtime 1x \
+		. ./internal/gamma ./internal/multiset
 
 # Engine comparison gate: run e16 on both engines and fail unless the
 # incremental engine's wall time is strictly below the full rescan at n=10^4.

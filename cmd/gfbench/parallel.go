@@ -109,10 +109,7 @@ func expE20() error {
 		var baseWall, wall8 time.Duration
 		for _, workers := range workerCounts {
 			// Workers=1 runs the deterministic sequential interpreter with
-			// Seed 0: a non-zero seed would switch it to the randomized
-			// snapshot+shuffle candidate order, which is O(candidates) per
-			// probe — quadratic on these workloads and not the engine the
-			// speedup column should be measured against.
+			// Seed 0, the engine the speedup column is measured against.
 			opts := gamma.Options{Workers: workers}
 			if workers > 1 {
 				opts.Seed = 1
@@ -208,7 +205,7 @@ const e20MinOrderGuardFactor = 4.0
 // candidate is the numeric maximum it can never be the kept element, so each
 // probe rescanned the whole multiset before backtracking onto a workable
 // binding — O(n) candidates visited per step, O(n²) for the run. The state-derived
-// rotated enumeration (multiset.IterAllRot) removes the preferred first
+// rotated enumeration (multiset.View.EachAll) removes the preferred first
 // candidate; the guard pins that by bounding the adversarial wall against a
 // benign layout of the same size. Runs in -short: it is the regression gate
 // for the fix, not a scaling study.

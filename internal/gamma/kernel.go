@@ -20,7 +20,7 @@
 //   - the pattern label is interned to its symtab symbol once, so candidate
 //     enumeration hits the multiset's integer-keyed indexes and reuses each
 //     entry's cached Key() instead of rebuilding the fingerprint per probe;
-//   - searcher scratch (slot env, claim counts, chosen tuples) is recycled
+//   - searcher scratch (slot env, claim stack, chosen tuples) is recycled
 //     through a per-kernel sync.Pool, so a probe allocates nothing.
 //
 // The interpreted Pattern.match / Reaction.produce path remains as the
@@ -122,10 +122,10 @@ type kernel struct {
 	pats     []kpat
 	branches []kbranch
 
-	// View plan for the parallel batch matcher: the label symbols this
-	// reaction's patterns can enumerate (deduplicated), or viewAll when any
-	// pattern is generic and needs the whole multiset. multiset.LockView
-	// read-locks exactly these shards for the duration of a probe batch.
+	// View plan for every probe: the label symbols this reaction's patterns
+	// can enumerate (deduplicated), or viewAll when any pattern is generic
+	// and needs the whole multiset. multiset.LockView read-locks exactly
+	// these shards for the duration of a probe (or a parallel probe batch).
 	viewSyms []symtab.Sym
 	viewAll  bool
 
@@ -211,7 +211,7 @@ func compileKernel(r *Reaction) *kernel {
 		return &searcher{
 			k:      k,
 			env:    make([]value.Value, k.nslots),
-			used:   make(map[string]int, len(k.pats)),
+			claims: make([]claim, 0, len(k.pats)),
 			chosen: make([]multiset.Tuple, len(k.pats)),
 			keys:   make([]string, len(k.pats)),
 		}
@@ -294,23 +294,30 @@ func (k *kernel) produceInto(name string, idx int, env []value.Value, vals []val
 func (k *kernel) getSearcher(r *Reaction, m *multiset.Multiset, rng *rand.Rand) *searcher {
 	s := k.searchers.Get().(*searcher)
 	s.r, s.m, s.rng, s.err = r, m, rng, nil
-	if rng == nil && k.viewAll {
+	switch {
+	case rng != nil:
+		// A randomized search draws one rotation for all its patterns. A
+		// fresh draw per pattern would start the inner enumeration away
+		// from the outer candidate: on a key-ordered shard that makes the
+		// inner pattern of min rescan every smaller element, O(n) per step.
+		s.rot = rng.Uint64()
+	case k.viewAll:
 		// Deterministic search with a generic pattern: derive the whole-set
 		// enumeration rotation from the multiset state, not a counter, so the
 		// probe order is a pure function of the state — identical across
 		// engines and across repeated runs (the equivalence harness compares
-		// stable states reached from the same state sequence).
-		s.det = detRotation(m.Len())
-	} else {
-		s.det = 0
+		// stable states reached from the same state sequence). Starting
+		// every probe at the global lex-first key instead is an adversarial
+		// trap: if that element never matches (e.g. computing min over
+		// values whose numeric maximum sorts lexicographically first), each
+		// probe re-rejects the same prefix, O(n) per step.
+		s.rot = detRotation(m.Len())
+	default:
+		s.rot = 0
 	}
+	s.cands = 0
 	for i := range s.env {
 		s.env[i] = value.Value{}
-	}
-	// Clearing a map does not shrink its buckets, so the claim tracker stays
-	// allocation-free at steady state.
-	for key := range s.used {
-		delete(s.used, key)
 	}
 	return s
 }
@@ -319,6 +326,9 @@ func (k *kernel) putSearcher(s *searcher) {
 	s.m = nil
 	s.rng = nil
 	s.view = nil
+	// Drop the claim keys so a pooled searcher pins no arena chunk.
+	clear(s.claims)
+	s.claims = s.claims[:0]
 	for i := range s.chosen {
 		s.chosen[i] = nil
 		s.keys[i] = ""

@@ -17,9 +17,12 @@ import (
 // and tag filtering only skip candidates that would fail Pattern.match
 // anyway, so the key-ordered walk finds the same first match as the indexed
 // walk), while generic patterns walk the whole multiset in the same
-// state-derived rotated order as IterAllRot.
+// state-derived rotated order as a whole-set View walk.
 func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
-	cands := m.AllCounted()
+	cands := m.Snapshot()
+	for i := range cands {
+		cands[i].Key = cands[i].Tuple.Key()
+	}
 	for i := 0; i < len(cands); i++ {
 		for j := i + 1; j < len(cands); j++ {
 			if cands[j].Key < cands[i].Key {
@@ -28,10 +31,13 @@ func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
 		}
 	}
 	var rotCands []multiset.Counted
-	m.IterAllRot(detRotation(m.Len()), func(t multiset.Tuple, n int, key string) bool {
+	var v multiset.View
+	m.LockView(&v, nil, true)
+	v.EachAll(detRotation(m.Len()), func(t multiset.Tuple, n int, key string) bool {
 		rotCands = append(rotCands, multiset.Counted{Tuple: t, N: n, Key: key})
 		return true
 	})
+	v.Unlock()
 	s := &oracleSearcher{r: r, cands: cands, rotCands: rotCands,
 		env:    make(expr.MapEnv),
 		used:   make(map[string]int),
@@ -50,7 +56,7 @@ func findMatchOracle(r *Reaction, m *multiset.Multiset) (*Match, error) {
 type oracleSearcher struct {
 	r        *Reaction
 	cands    []multiset.Counted // ascending key order, for labeled patterns
-	rotCands []multiset.Counted // IterAllRot order, for generic patterns
+	rotCands []multiset.Counted // rotated View order, for generic patterns
 	env      expr.MapEnv
 	used     map[string]int
 	chosen   []multiset.Tuple
@@ -200,7 +206,7 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 
 		// Products: compiled produce vs interpreted produce on the same env.
 		wantP, wErr := r.produce(want.Branch, want.Env)
-		s, err := findFiring(r, m, nil)
+		s, err := findFiring(r, m, nil, nil, nil)
 		if err != nil || s == nil {
 			t.Fatalf("seed %d: findFiring after FindMatch: (%v, %v)", seed, s, err)
 		}
@@ -268,11 +274,11 @@ func TestFindFiringNoMatchAllocationFree(t *testing.T) {
 		multiset.IntElem(2, "A", 1),
 		multiset.IntElem(3, "B", 0),
 	)
-	if s, err := findFiring(r, m, nil); err != nil || s != nil {
+	if s, err := findFiring(r, m, nil, nil, nil); err != nil || s != nil {
 		t.Fatalf("warmup: (%v, %v)", s, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		s, err := findFiring(r, m, nil)
+		s, err := findFiring(r, m, nil, nil, nil)
 		if err != nil || s != nil {
 			t.Fatalf("probe: (%v, %v)", s, err)
 		}

@@ -21,8 +21,8 @@ type Match struct {
 // reaction is not enabled on m (no combination of elements satisfies the
 // patterns and some branch condition). When rng is non-nil, candidate order
 // is randomized — the nondeterministic selection of §II-B; with a nil rng the
-// search is deterministic (ascending key order), which the sequential
-// interpreter and the tests rely on.
+// search is deterministic, which the sequential interpreter and the tests
+// rely on.
 //
 // The search runs on the reaction's compiled kernel (kernel.go): a
 // backtracking enumeration over the replace-list patterns with variable
@@ -32,20 +32,22 @@ type Match struct {
 // programs match in near-constant time; fully generic patterns walk the
 // whole multiset.
 //
-// The deterministic path iterates the multiset's incrementally sorted indexes
-// in place — no snapshot, no per-probe sort, and each candidate arrives with
-// its cached Key() fingerprint — so a probe costs only the candidates it
-// actually visits. That requires no concurrent writers, which the sequential
-// runtime guarantees. The randomized path (always used by the parallel
-// runtime) copies the candidates and shuffles them, tolerating concurrent
-// mutation; staleness is caught by the optimistic commit.
+// Every probe runs inside one multiset.View session: the shards the
+// reaction's patterns can touch are read-locked once, and every nested
+// enumeration walks the live chunked indexes in place — no snapshot, no
+// per-probe sort, and each candidate arrives with its cached Key()
+// fingerprint — so a probe costs only the candidates it actually visits.
+// Enumeration starts at a rotated position and wraps. A deterministic probe
+// rotates generic patterns by a function of the multiset's size and walks
+// labeled ones in ascending key order; a randomized probe draws one rotation
+// from rng for all its patterns.
 //
 // FindMatch materializes the bindings into a MapEnv for its callers (tests,
 // Enabled, the dataflow equivalence checker); the step loop in run.go uses
 // findFiring to keep the pooled slot environment instead.
 func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error) {
 	k := r.kernel()
-	s, err := findFiring(r, m, rng)
+	s, err := findFiring(r, m, rng, nil, nil)
 	if err != nil || s == nil {
 		return nil, err
 	}
@@ -64,12 +66,17 @@ func FindMatch(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*Match, error
 // findFiring is the allocation-free core of FindMatch: it returns a pooled
 // searcher holding an enabled firing (slot env, chosen tuples with their
 // cached keys, selected branch), or nil when the reaction is not enabled.
-// The caller must release a non-nil searcher via r.kernel().putSearcher once
-// done reading it.
-func findFiring(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*searcher, error) {
+// The candidates the probe visited are added to stats and ts, either of
+// which may be nil. The caller must release a non-nil searcher via
+// r.kernel().putSearcher once done reading it.
+func findFiring(r *Reaction, m *multiset.Multiset, rng *rand.Rand, stats *Stats, ts *telSink) (*searcher, error) {
 	k := r.kernel()
 	s := k.getSearcher(r, m, rng)
-	ok := s.search(0)
+	ok := s.probe()
+	if stats != nil {
+		stats.Candidates += s.cands
+	}
+	ts.candidates(s.cands)
 	if s.err != nil || !ok {
 		err := s.err
 		k.putSearcher(s)
@@ -78,32 +85,66 @@ func findFiring(r *Reaction, m *multiset.Multiset, rng *rand.Rand) (*searcher, e
 	return s, nil
 }
 
+// probe runs one search inside the searcher's own View session. The deferred
+// unlock keeps a panicking condition from leaving shard read locks behind.
+func (s *searcher) probe() bool {
+	s.m.LockView(&s.own, s.k.viewSyms, s.k.viewAll)
+	defer s.own.Unlock()
+	s.view = &s.own
+	return s.search(0)
+}
+
 // searcher is the recycled scratch of one match search; see kernel.getSearcher.
 type searcher struct {
 	k      *kernel
 	r      *Reaction
 	m      *multiset.Multiset
 	rng    *rand.Rand
-	view   *multiset.View // when set, candidates come from the locked view
-	det    uint64         // rotation for deterministic generic-pattern probes
+	view   *multiset.View // the locked session candidates come from
+	own    multiset.View  // findFiring's session; batches lock their own
+	rot    uint64         // enumeration rotation of the current search
 	env    []value.Value  // slot-indexed bindings; invalid Value = unbound
-	used   map[string]int // occurrences of each tuple key already claimed
+	claims []claim        // occurrences already claimed, in claim order
 	chosen []multiset.Tuple
 	keys   []string // cached Key() of each chosen tuple
+	cands  int64    // candidates visited since getSearcher
 	branch int
 	err    error
 }
 
+// claim counts the occurrences of one tuple key held by the patterns bound so
+// far (and, in a batch, by the batch's earlier firings). search claims and
+// unclaims in stack order, so an entry whose count drops to zero is always
+// the last one and is popped: the slice holds at most patterns × batch size
+// live entries, and a linear scan over it beats hashing.
+type claim struct {
+	key string
+	n   int
+}
+
+// claimed returns the index of key's claim entry, or -1.
+func (s *searcher) claimed(key string) int {
+	for i := range s.claims {
+		if s.claims[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
 // nextInBatch readies the searcher for the next search of a multi-firing
-// batch: the slot environment is cleared but the claim tracker is kept, so
-// the occurrences chosen by the batch's earlier (not yet committed) firings
+// batch: the slot environment is cleared but the claims are kept, so the
+// occurrences chosen by the batch's earlier (not yet committed) firings
 // stay claimed — that is what makes the batch's deltas pairwise disjoint and
-// the single ApplyDeltas commit equivalent to firing them one by one. The
-// caller must copy chosen/keys out before calling; the next search overwrites
-// them.
+// the single ApplyDeltas commit equivalent to firing them one by one. A
+// randomized batch draws the next search's rotation. The caller must copy
+// chosen/keys out before calling; the next search overwrites them.
 func (s *searcher) nextInBatch() {
 	for i := range s.env {
 		s.env[i] = value.Value{}
+	}
+	if s.rng != nil {
+		s.rot = s.rng.Uint64()
 	}
 }
 
@@ -123,20 +164,29 @@ func (s *searcher) search(i int) bool {
 	kp := &s.k.pats[i]
 	found := false
 	s.eachCandidate(kp, func(t multiset.Tuple, n int, key string) bool {
-		if s.used[key] >= n {
+		s.cands++
+		c := s.claimed(key)
+		if c >= 0 && s.claims[c].n >= n {
 			return true // all occurrences already claimed by earlier patterns
 		}
 		if !kp.match(t, s.env) {
 			return true
 		}
-		s.used[key]++
+		if c < 0 {
+			c = len(s.claims)
+			s.claims = append(s.claims, claim{key: key})
+		}
+		s.claims[c].n++
 		s.chosen[i] = t
 		s.keys[i] = key
 		if s.search(i + 1) {
 			found = true
 			return false
 		}
-		s.used[key]--
+		if s.claims[c].n--; s.claims[c].n == 0 {
+			s.claims[c] = claim{} // c is the last entry: claims unwind LIFO
+			s.claims = s.claims[:c]
+		}
 		kp.clear(s.env)
 		return s.err == nil
 	})
@@ -144,66 +194,24 @@ func (s *searcher) search(i int) bool {
 }
 
 // eachCandidate enumerates the possible elements for pattern kp under the
-// current bindings, using the narrowest index available, until fn returns
-// false. Deterministic searches iterate the live sorted indexes; randomized
-// searches snapshot and shuffle. Every candidate carries the multiset's
-// cached key fingerprint.
+// current bindings, using the narrowest index of the locked view, until fn
+// returns false. Every candidate carries the multiset's cached key
+// fingerprint. Every pattern of one search starts at the same rotation,
+// s.rot; a deterministic search walks labeled indexes from the start
+// (ascending key order) instead.
 func (s *searcher) eachCandidate(kp *kpat, fn func(t multiset.Tuple, n int, key string) bool) {
-	if s.view != nil {
-		// View-backed path (parallel batch matcher): the shard read locks are
-		// held by the caller, so the live chunked indexes can be walked
-		// zero-copy. A rotation drawn from the worker's rng replaces the
-		// snapshot+shuffle — enumeration starts at a random position and
-		// wraps, which decorrelates concurrent searchers without copying.
-		rot := s.rng.Uint64()
-		if kp.hasLabel {
-			if tag, ok := s.tagOf(kp); ok {
-				s.view.EachSymTag(kp.labelSym, tag, rot, fn)
-			} else {
-				s.view.EachSym(kp.labelSym, rot, fn)
-			}
-		} else {
-			s.view.EachAll(rot, fn)
-		}
+	if !kp.hasLabel {
+		s.view.EachAll(s.rot, fn)
 		return
 	}
+	rot := s.rot
 	if s.rng == nil {
-		switch {
-		case kp.hasLabel:
-			if tag, ok := s.tagOf(kp); ok {
-				s.m.IterSymTag(kp.labelSym, tag, fn)
-			} else {
-				s.m.IterSym(kp.labelSym, fn)
-			}
-		default:
-			// Generic patterns walk the whole multiset. Starting every probe
-			// at the global lex-first key is an adversarial trap: if that
-			// element never matches (e.g. computing min over values whose
-			// numeric maximum sorts lexicographically first), each probe
-			// re-rejects the same prefix and the run degrades to O(n) per
-			// step. Rotate the start by a value derived from the multiset's
-			// size instead — deterministic for a given state, so sequential
-			// runs stay reproducible, but the hot spot moves as the run
-			// progresses.
-			s.m.IterAllRot(s.det, fn)
-		}
-		return
+		rot = 0
 	}
-	var cands []multiset.Counted
-	if kp.hasLabel {
-		if tag, ok := s.tagOf(kp); ok {
-			cands = s.m.BySymTag(kp.labelSym, tag)
-		} else {
-			cands = s.m.BySym(kp.labelSym)
-		}
+	if tag, ok := s.tagOf(kp); ok {
+		s.view.EachSymTag(kp.labelSym, tag, rot, fn)
 	} else {
-		cands = s.m.AllCounted()
-	}
-	s.rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
-	for _, c := range cands {
-		if !fn(c.Tuple, c.N, c.Key) {
-			return
-		}
+		s.view.EachSym(kp.labelSym, rot, fn)
 	}
 }
 

@@ -194,6 +194,11 @@ type Stats struct {
 	// up as fewer probes for the same Steps, because provably disabled
 	// reactions are never re-probed.
 	Probes int64
+	// Candidates counts the elements match searches visited — each one a
+	// claim check and, unless already claimed, a pattern test. Candidates /
+	// Probes is the cost of one probe, which the matcher keeps O(1) in the
+	// multiset size for the paper's reductions.
+	Candidates int64
 	// Conflicts counts failed optimistic commits (parallel runtime only):
 	// a worker matched a set of molecules that a concurrent worker consumed
 	// before the commit.
@@ -225,6 +230,7 @@ func newStats(workers int) *Stats {
 func (s *Stats) merge(o *Stats) {
 	s.Steps += o.Steps
 	s.Probes += o.Probes
+	s.Candidates += o.Candidates
 	s.Conflicts += o.Conflicts
 	s.Retries += o.Retries
 	s.MemoHits += o.MemoHits
@@ -491,7 +497,7 @@ func runSequential(ctx context.Context, p *Program, m *multiset.Multiset, opt Op
 		t0 := ts.begin()
 		ts.probe(r.Name)
 		k := r.kernel()
-		s, err := findFiring(r, m, rng)
+		s, err := findFiring(r, m, rng, stats, ts)
 		if err != nil {
 			return stats, err
 		}
@@ -798,8 +804,8 @@ func safeTryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt
 
 // tryFire probes reaction idx once and fires it if enabled, with the bounded
 // optimistic-commit retry loop — the FullScan engine's single-firing path,
-// kept verbatim from the seed (snapshot matcher, two-phase TryRemoveAll +
-// AddAll commit) as the measurement baseline and differential oracle. The
+// kept from the seed (two-phase TryRemoveAll + AddAll commit) as the
+// measurement baseline and differential oracle. The
 // incremental engine fires through tryFireBatch instead. Returns whether a
 // firing committed and whether the worker must stop (error, cancellation or
 // MaxSteps).
@@ -814,7 +820,7 @@ func tryFire(ctx context.Context, p *Program, m *multiset.Multiset, opt Options,
 		stats.Probes++
 		t0 := ts.begin()
 		ts.probe(r.Name)
-		s, err := findFiring(r, m, rng)
+		s, err := findFiring(r, m, rng, stats, ts)
 		if err != nil {
 			sh.fail(err)
 			return false, true
@@ -1001,6 +1007,8 @@ func tryFireBatch(ctx context.Context, p *Program, m *multiset.Multiset, opt Opt
 			s.nextInBatch()
 		}
 		bw.view.Unlock()
+		stats.Candidates += s.cands
+		ts.candidates(s.cands)
 		k.putSearcher(s)
 		if ferr != nil {
 			sh.fail(ferr)

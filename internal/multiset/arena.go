@@ -16,25 +16,41 @@ import (
 // bytes sound, and it preserves the shard contract that tuple backings and
 // key strings handed to searchers, memo keys and traces are never reused.
 //
-// Chunk memory is reclaimed by the GC once every entry, key and tuple carved
-// from it dies; a long-lived carve pins at most one chunk of each kind.
-// All methods require the owning shard's write lock.
+// Chunks grow geometrically per shard: the first is small and each fresh one
+// doubles its predecessor up to a cap, so a shard holding a handful of
+// tuples costs a few hundred bytes rather than a full-size chunk of each
+// kind, while a busy shard still amortizes to one allocation per cap-sized
+// chunk. Chunk memory is reclaimed by the GC once every entry, key and tuple
+// carved from it dies; a long-lived carve pins at most one chunk of each
+// kind. All methods require the owning shard's write lock.
 type shardArena struct {
 	entries []entry
 	keys    []byte
 	cells   []value.Value
 }
 
+// First and largest chunk sizes of each kind. Keys and tuples longer than a
+// quarter of the largest chunk are allocated on their own.
 const (
-	entryChunk = 256
-	keyChunk   = 4096
-	cellChunk  = 1024
+	entryChunkMin, entryChunkMax = 4, 256
+	keyChunkMin, keyChunkMax     = 64, 4096
+	cellChunkMin, cellChunkMax   = 8, 1024
 )
+
+// nextChunk returns the capacity of the chunk replacing a full one of
+// capacity prev: double it, within [lo, hi], and large enough for need.
+func nextChunk(prev, need, lo, hi int) int {
+	c := min(max(2*prev, lo), hi)
+	for c < need {
+		c *= 2
+	}
+	return c
+}
 
 // newEntry carves a zeroed entry, switching to a fresh chunk when full.
 func (a *shardArena) newEntry() *entry {
 	if len(a.entries) == cap(a.entries) {
-		a.entries = make([]entry, 0, entryChunk)
+		a.entries = make([]entry, 0, nextChunk(cap(a.entries), 1, entryChunkMin, entryChunkMax))
 	}
 	a.entries = a.entries[:len(a.entries)+1]
 	return &a.entries[len(a.entries)-1]
@@ -48,11 +64,11 @@ func (a *shardArena) internKey(kb []byte) string {
 	if n == 0 {
 		return ""
 	}
-	if n > keyChunk/4 {
+	if n > keyChunkMax/4 {
 		return string(kb)
 	}
 	if cap(a.keys)-len(a.keys) < n {
-		a.keys = make([]byte, 0, keyChunk)
+		a.keys = make([]byte, 0, nextChunk(cap(a.keys), n, keyChunkMin, keyChunkMax))
 	}
 	off := len(a.keys)
 	a.keys = append(a.keys, kb...)
@@ -67,11 +83,11 @@ func (a *shardArena) cloneTuple(t Tuple) Tuple {
 	if n == 0 {
 		return nil
 	}
-	if n > cellChunk/4 {
+	if n > cellChunkMax/4 {
 		return t.Clone()
 	}
 	if cap(a.cells)-len(a.cells) < n {
-		a.cells = make([]value.Value, 0, cellChunk)
+		a.cells = make([]value.Value, 0, nextChunk(cap(a.cells), n, cellChunkMin, cellChunkMax))
 	}
 	off := len(a.cells)
 	a.cells = append(a.cells, t...)

@@ -1,6 +1,10 @@
 package multiset
 
-import "repro/internal/symtab"
+import (
+	"math/bits"
+
+	"repro/internal/symtab"
+)
 
 // Delta is one reaction firing's consume/produce sets — the unit of
 // ApplyDeltas' batched commit. CKeys, when non-nil, must hold Key() of each
@@ -81,16 +85,15 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 }
 
 // View is a caller-owned read session over a static set of shards: the
-// parallel matcher's way to enumerate candidates zero-copy while tolerating
-// concurrent commits to other shards. The seed parallel matcher snapshotted
-// and shuffled the whole index per probe — O(index) allocation and copying
-// per probe; a View holds the shard read locks across the probe (or a whole
-// multi-firing batch of probes) and walks the live chunked indexes in
-// rotated order instead, which decorrelates concurrent searchers without a
-// shuffle. Writers to the viewed shards block for the duration, which is
-// exactly the window an optimistic matcher wants: candidates cannot vanish
-// mid-enumeration, staleness is confined to the commit and caught by its
-// claim.
+// matcher's way to enumerate candidates zero-copy while tolerating
+// concurrent commits to other shards. A View holds the shard read locks
+// across one probe (or a whole multi-firing batch of probes), so every nested
+// enumeration of the probe walks the live chunked indexes without taking a
+// lock of its own, in rotated order, which decorrelates concurrent searchers
+// without a snapshot or a shuffle. Writers to the viewed shards block for
+// the duration, which is exactly the window an optimistic matcher wants:
+// candidates cannot vanish mid-enumeration, staleness is confined to the
+// commit and caught by its claim.
 //
 // The shard set is fixed at LockView from the label symbols the caller's
 // patterns can touch (generic patterns need all=true); locks are taken in
@@ -98,9 +101,9 @@ func (m *Multiset) applyDeltas(ds []Delta, applied []bool, seqs []uint64, syms [
 // writer uses. A View must be Unlocked before the commit's write locks are
 // taken. The zero View is ready for LockView and reusable after Unlock.
 type View struct {
-	m        *Multiset
-	involved [shardCount]bool
-	locked   bool
+	m      *Multiset
+	shards uint32 // bit i set: shard i is read-locked
+	locked bool
 }
 
 // LockView read-locks the shards that can hold tuples labeled with any of
@@ -109,19 +112,16 @@ func (m *Multiset) LockView(v *View, syms []symtab.Sym, all bool) {
 	if v.locked {
 		panic("multiset: LockView on an already locked View")
 	}
-	for i := range v.involved {
-		v.involved[i] = all
-	}
+	var set uint32 = 1<<shardCount - 1
 	if !all {
+		set = 0
 		for _, sym := range syms {
-			v.involved[uint32(sym)&(shardCount-1)] = true
+			set |= 1 << (uint32(sym) & (shardCount - 1))
 		}
 	}
-	v.m = m
-	for i := range m.shards {
-		if v.involved[i] {
-			m.shards[i].mu.RLock()
-		}
+	v.m, v.shards = m, set
+	for b := set; b != 0; b &= b - 1 {
+		m.shards[bits.TrailingZeros32(b)].mu.RLock()
 	}
 	v.locked = true
 }
@@ -133,10 +133,8 @@ func (v *View) Unlock() {
 		return
 	}
 	v.locked = false
-	for i := range v.m.shards {
-		if v.involved[i] {
-			v.m.shards[i].mu.RUnlock()
-		}
+	for b := v.shards; b != 0; b &= b - 1 {
+		v.m.shards[bits.TrailingZeros32(b)].mu.RUnlock()
 	}
 }
 
@@ -178,7 +176,7 @@ func (v *View) EachAll(rot uint64, fn func(t Tuple, n int, key string) bool) {
 // not hold its lock — a misrouted enumeration would otherwise race writers
 // silently.
 func (v *View) shardChecked(si uint32) *shard {
-	if !v.locked || !v.involved[si] {
+	if !v.locked || v.shards&(1<<si) == 0 {
 		panic("multiset: View enumeration outside the locked shard set")
 	}
 	return &v.m.shards[si]

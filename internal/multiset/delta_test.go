@@ -91,11 +91,11 @@ func TestIterSortedAgreesWithSnapshot(t *testing.T) {
 	}
 }
 
-// TestIterAllRotExhaustive checks that the rotated whole-set walk visits
+// TestViewEachAllRotExhaustive checks that the rotated whole-set walk visits
 // exactly IterAll's element set — every distinct tuple once, with the same
 // count and cached key — for many rotations, that a fixed rotation yields a
 // fixed order (determinism), and that early exit works.
-func TestIterAllRotExhaustive(t *testing.T) {
+func TestViewEachAllRotExhaustive(t *testing.T) {
 	m := New()
 	for i := 0; i < 150; i++ {
 		m.Add(New1(value.Int(int64(i * 53 % 97))))
@@ -108,10 +108,13 @@ func TestIterAllRotExhaustive(t *testing.T) {
 		want[key] = n
 		return true
 	})
+	var v View
+	m.LockView(&v, nil, true)
+	defer v.Unlock()
 	for _, rot := range []uint64{0, 1, 31, 32, 1 << 40, ^uint64(0), detRotTest(151)} {
 		got := map[string]int{}
 		var order1, order2 []string
-		m.IterAllRot(rot, func(tp Tuple, n int, key string) bool {
+		v.EachAll(rot, func(tp Tuple, n int, key string) bool {
 			if tp.Key() != key {
 				t.Fatalf("rot %d: cached key %q != Key() %q", rot, key, tp.Key())
 			}
@@ -127,7 +130,7 @@ func TestIterAllRotExhaustive(t *testing.T) {
 				t.Fatalf("rot %d: key %q count %d, want %d", rot, k, got[k], n)
 			}
 		}
-		m.IterAllRot(rot, func(tp Tuple, n int, key string) bool {
+		v.EachAll(rot, func(tp Tuple, n int, key string) bool {
 			order2 = append(order2, key)
 			return true
 		})
@@ -138,12 +141,12 @@ func TestIterAllRotExhaustive(t *testing.T) {
 		}
 	}
 	calls := 0
-	m.IterAllRot(7, func(Tuple, int, string) bool {
+	v.EachAll(7, func(Tuple, int, string) bool {
 		calls++
 		return calls < 3
 	})
 	if calls != 3 {
-		t.Fatalf("IterAllRot early exit after %d calls, want 3", calls)
+		t.Fatalf("EachAll early exit after %d calls, want 3", calls)
 	}
 }
 
@@ -157,16 +160,24 @@ func detRotTest(n int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// TestIterEarlyExit checks that returning false stops all three iterators.
+// TestIterEarlyExit checks that returning false stops the sorted walk and
+// the label-indexed View walks.
 func TestIterEarlyExit(t *testing.T) {
 	m := New()
 	for i := int64(0); i < 50; i++ {
 		m.Add(IntElem(i, "L", i%4))
 	}
+	sym := symtab.Intern("L")
+	var v View
+	m.LockView(&v, []symtab.Sym{sym}, false)
+	defer v.Unlock()
+	keyless := func(fn func(Tuple, int) bool) func(Tuple, int, string) bool {
+		return func(tp Tuple, n int, _ string) bool { return fn(tp, n) }
+	}
 	for name, iter := range map[string]func(fn func(Tuple, int) bool){
-		"IterSorted":   m.IterSorted,
-		"IterLabel":    func(fn func(Tuple, int) bool) { m.IterLabel("L", fn) },
-		"IterLabelTag": func(fn func(Tuple, int) bool) { m.IterLabelTag("L", 2, fn) },
+		"IterSorted": m.IterSorted,
+		"EachSym":    func(fn func(Tuple, int) bool) { v.EachSym(sym, 0, keyless(fn)) },
+		"EachSymTag": func(fn func(Tuple, int) bool) { v.EachSymTag(sym, 2, 0, keyless(fn)) },
 	} {
 		calls := 0
 		iter(func(Tuple, int) bool {
@@ -179,26 +190,41 @@ func TestIterEarlyExit(t *testing.T) {
 	}
 }
 
-// TestIterLabelTagMatchesByLabelTag checks the zero-copy (label, tag) walk
-// yields exactly the snapshot the randomized path sees.
-func TestIterLabelTagMatchesByLabelTag(t *testing.T) {
+// TestViewRotZeroMatchesBySymTag checks that a rotation-0 (label, tag) walk
+// yields exactly the ascending-key snapshot BySymTag returns: the order the
+// deterministic matcher's labeled patterns rely on.
+func TestViewRotZeroMatchesBySymTag(t *testing.T) {
 	m := New()
 	for i := int64(0); i < 40; i++ {
 		m.Add(IntElem(i, "L", i%5))
 		m.Add(IntElem(i, "R", i%5))
 	}
-	want := m.ByLabelTag("L", 3)
-	var got []Counted
-	m.IterLabelTag("L", 3, func(tp Tuple, n int) bool {
-		got = append(got, Counted{Tuple: tp, N: n})
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("IterLabelTag yields %d, ByLabelTag %d", len(got), len(want))
-	}
-	for i := range got {
-		if !got[i].Tuple.Equal(want[i].Tuple) || got[i].N != want[i].N {
-			t.Fatalf("at %d: iter (%v,%d) vs snapshot (%v,%d)", i, got[i].Tuple, got[i].N, want[i].Tuple, want[i].N)
+	sym := symtab.Intern("L")
+	for _, tagged := range []bool{false, true} {
+		want := m.BySym(sym)
+		if tagged {
+			want = m.BySymTag(sym, 3)
+		}
+		var got []Counted
+		collect := func(tp Tuple, n int, key string) bool {
+			got = append(got, Counted{Tuple: tp, N: n, Key: key})
+			return true
+		}
+		var v View
+		m.LockView(&v, []symtab.Sym{sym}, false)
+		if tagged {
+			v.EachSymTag(sym, 3, 0, collect)
+		} else {
+			v.EachSym(sym, 0, collect)
+		}
+		v.Unlock()
+		if len(got) != len(want) {
+			t.Fatalf("tagged=%v: view yields %d, snapshot %d", tagged, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Tuple.Equal(want[i].Tuple) || got[i].N != want[i].N || got[i].Key != want[i].Key {
+				t.Fatalf("tagged=%v at %d: view (%v,%d) vs snapshot (%v,%d)", tagged, i, got[i].Tuple, got[i].N, want[i].Tuple, want[i].N)
+			}
 		}
 	}
 }
@@ -379,15 +405,16 @@ func TestIterKeysMatchTupleKey(t *testing.T) {
 		}
 	}
 	aSym, _ := symtab.SymOf("A")
-	m.IterSym(aSym, func(tp Tuple, n int, key string) bool { check("IterSym", tp, key); return true })
-	m.IterSymTag(aSym, 5, func(tp Tuple, n int, key string) bool { check("IterSymTag", tp, key); return true })
+	var v View
+	m.LockView(&v, nil, true)
+	v.EachSym(aSym, 0, func(tp Tuple, n int, key string) bool { check("EachSym", tp, key); return true })
+	v.EachSymTag(aSym, 5, 0, func(tp Tuple, n int, key string) bool { check("EachSymTag", tp, key); return true })
+	v.EachAll(3, func(tp Tuple, n int, key string) bool { check("EachAll", tp, key); return true })
+	v.Unlock()
 	seen := 0
 	m.IterAll(func(tp Tuple, n int, key string) bool { seen++; check("IterAll", tp, key); return true })
 	if seen != 4 {
 		t.Fatalf("IterAll visited %d, want 4", seen)
-	}
-	for _, c := range m.AllCounted() {
-		check("AllCounted", c.Tuple, c.Key)
 	}
 	for _, c := range m.BySym(aSym) {
 		check("BySym", c.Tuple, c.Key)
@@ -403,10 +430,5 @@ func TestUnknownLabelLookupsMissCleanly(t *testing.T) {
 	}
 	if got := m.ByLabelTag("never-interned-label-xyz", 0); got != nil {
 		t.Fatalf("ByLabelTag on unknown label = %v", got)
-	}
-	called := false
-	m.IterLabel("never-interned-label-xyz", func(Tuple, int) bool { called = true; return true })
-	if called {
-		t.Fatal("IterLabel on unknown label invoked the callback")
 	}
 }

@@ -19,9 +19,9 @@ import "sort"
 //
 //   - exact ascending-key iteration order, which the deterministic sequential
 //     matcher (and the golden traces pinned on it) observe;
-//   - cheap positional rotation, which the parallel matcher uses to start
-//     candidate enumeration at a randomized offset instead of snapshotting
-//     and shuffling the whole index per probe.
+//   - cheap positional rotation, which the matcher uses to start candidate
+//     enumeration at a rotated offset instead of snapshotting and shuffling
+//     the whole index per probe (rotation 0 is ascending key order).
 //
 // Chunk sizes stay within [chunkMin, chunkMax] and pages within
 // [pageMin, pageMax] (except the last survivor at each level): a split at
@@ -42,6 +42,8 @@ const (
 	chunkMin = 64
 	pageMax  = 32
 	pageMin  = 4
+	// firstChunk is the initial capacity of a fresh list's only chunk.
+	firstChunk = 4
 )
 
 func (l *elist) len() int { return l.total }
@@ -76,7 +78,9 @@ func chunkFor(p epage, key string) int {
 func (l *elist) insert(e *entry) {
 	l.total++
 	if len(l.pages) == 0 {
-		c := append(make([]*entry, 0, chunkMin), e)
+		// The first chunk starts small and grows by append, so a short
+		// index costs its entries rather than a full chunk.
+		c := append(make([]*entry, 0, firstChunk), e)
 		l.pages = append(l.pages, append(make(epage, 0, pageMin), c))
 		l.nchunks = 1
 		return

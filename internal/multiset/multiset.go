@@ -57,6 +57,7 @@ type shard struct {
 	// sorted holds every entry of the shard in ascending key order.
 	sorted elist
 	// bySym maps an element label symbol to its entries, ascending key order.
+	// It and bySymTag stay nil until the shard's first labeled tuple.
 	bySym map[symtab.Sym]*elist
 	// bySymTag maps (label symbol, tag) to its entries, ascending key order;
 	// this is the dynamic-dataflow tag-matching index.
@@ -129,8 +130,6 @@ func New(tuples ...Tuple) *Multiset {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.byKey = make(map[string]*entry)
-		s.bySym = make(map[symtab.Sym]*elist)
-		s.bySymTag = make(map[symTag]*elist)
 	}
 	for _, t := range tuples {
 		m.Add(t)
@@ -234,6 +233,9 @@ func (s *shard) addEntryLocked(t Tuple, key string, sym symtab.Sym, n int) {
 	if sym != symtab.None {
 		l := s.bySym[sym]
 		if l == nil {
+			if s.bySym == nil {
+				s.bySym = make(map[symtab.Sym]*elist)
+			}
 			l = new(elist)
 			s.bySym[sym] = l
 		}
@@ -242,6 +244,9 @@ func (s *shard) addEntryLocked(t Tuple, key string, sym symtab.Sym, n int) {
 			st := symTag{sym, e.tag}
 			lt := s.bySymTag[st]
 			if lt == nil {
+				if s.bySymTag == nil {
+					s.bySymTag = make(map[symTag]*elist)
+				}
 				lt = new(elist)
 				s.bySymTag[st] = lt
 			}
@@ -686,58 +691,12 @@ func (m *Multiset) ByLabelTag(label string, tag int64) []Counted {
 	return m.BySymTag(sym, tag)
 }
 
-// IterSym calls fn once per distinct tuple whose label symbol equals sym, in
-// ascending key order, passing the entry's cached key fingerprint — the
-// matcher's claim-tracking identity — without copying the index. The shard
-// read lock is held for the whole iteration: fn must not mutate the multiset,
-// and callers must guarantee no concurrent writers (the deterministic
-// sequential matcher qualifies; the parallel runtime uses the snapshotting
-// BySym instead).
-func (m *Multiset) IterSym(sym symtab.Sym, fn func(t Tuple, n int, key string) bool) {
-	s := m.shardForSym(sym)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if l := s.bySym[sym]; l != nil {
-		l.each(func(e *entry) bool { return fn(e.tuple, e.count, e.key) })
-	}
-}
-
-// IterSymTag is IterSym over the (label symbol, tag) index. The same locking
-// caveats apply.
-func (m *Multiset) IterSymTag(sym symtab.Sym, tag int64, fn func(t Tuple, n int, key string) bool) {
-	s := m.shardForSym(sym)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if l := s.bySymTag[symTag{sym, tag}]; l != nil {
-		l.each(func(e *entry) bool { return fn(e.tuple, e.count, e.key) })
-	}
-}
-
-// IterLabel is IterSym by label string, without the key (compatibility
-// surface; the matcher iterates by symbol).
-func (m *Multiset) IterLabel(label string, fn func(t Tuple, n int) bool) {
-	sym, ok := symtab.SymOf(label)
-	if !ok {
-		return
-	}
-	m.IterSym(sym, func(t Tuple, n int, _ string) bool { return fn(t, n) })
-}
-
-// IterLabelTag is IterLabel over the (label, tag) index.
-func (m *Multiset) IterLabelTag(label string, tag int64, fn func(t Tuple, n int) bool) {
-	sym, ok := symtab.SymOf(label)
-	if !ok {
-		return
-	}
-	m.IterSymTag(sym, tag, func(t Tuple, n int, _ string) bool { return fn(t, n) })
-}
-
 // IterAll calls fn once per distinct tuple in ascending key order across the
 // whole multiset with the entry's cached key, lazily merging the shards'
 // sorted runs — no copy, no sort, and early exit costs only the elements
 // actually visited. All shard read locks are held for the whole iteration:
 // fn must not mutate the multiset and callers must guarantee no concurrent
-// writers (see IterSym).
+// writers.
 func (m *Multiset) IterAll(fn func(t Tuple, n int, key string) bool) {
 	for i := range m.shards {
 		m.shards[i].mu.RLock()
@@ -774,58 +733,9 @@ func (m *Multiset) IterAll(fn func(t Tuple, n int, key string) bool) {
 	}
 }
 
-// IterAllRot calls fn once per distinct tuple exactly like IterAll, but
-// enumeration starts at a position derived from rot — shard order and the
-// position within each shard both rotate — instead of the global ascending
-// key order. The walk is still exhaustive and, for a fixed rot and multiset
-// state, still deterministic; only the starting point moves. This is the
-// deterministic matcher's defense against adversarial key order: a fixed
-// lex-first start revisits (and re-rejects) the same unmatchable prefix on
-// every probe, degrading generic-pattern searches to O(n) per step on
-// workloads whose extreme element sorts first. Locking contract as IterAll:
-// all shard read locks held throughout, no concurrent writers, fn must not
-// mutate.
-func (m *Multiset) IterAllRot(rot uint64, fn func(t Tuple, n int, key string) bool) {
-	for i := range m.shards {
-		m.shards[i].mu.RLock()
-	}
-	defer func() {
-		for i := range m.shards {
-			m.shards[i].mu.RUnlock()
-		}
-	}()
-	start := int(uint32(rot) % shardCount)
-	stop := false
-	for i := 0; i < shardCount && !stop; i++ {
-		s := &m.shards[(start+i)&(shardCount-1)]
-		s.sorted.eachRot(rot, func(e *entry) bool {
-			stop = !fn(e.tuple, e.count, e.key)
-			return !stop
-		})
-	}
-}
-
 // IterSorted is IterAll without the key (compatibility surface).
 func (m *Multiset) IterSorted(fn func(t Tuple, n int) bool) {
 	m.IterAll(func(t Tuple, n int, _ string) bool { return fn(t, n) })
-}
-
-// AllCounted returns every distinct tuple with its multiplicity and cached
-// key in unspecified (per-shard) order — the cheap snapshot for the
-// randomized matcher, which shuffles the candidates anyway. Use Snapshot for
-// a deterministic ordering.
-func (m *Multiset) AllCounted() []Counted {
-	out := make([]Counted, 0, 16)
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		s.sorted.each(func(e *entry) bool {
-			out = append(out, Counted{Tuple: e.tuple, N: e.count, Key: e.key})
-			return true
-		})
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // Counted pairs a distinct tuple with its multiplicity and, when it comes
@@ -853,7 +763,7 @@ func (m *Multiset) ForEach(fn func(t Tuple, n int) bool) {
 
 // Snapshot returns every distinct tuple with multiplicity, sorted
 // deterministically. Intended for tests, printing and external callers; the
-// matcher itself walks the maintained indexes via Iter* and AllCounted.
+// matcher itself walks the maintained indexes through a View.
 func (m *Multiset) Snapshot() []Counted {
 	var out []Counted
 	m.ForEach(func(t Tuple, n int) bool {

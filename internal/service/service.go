@@ -269,11 +269,11 @@ type Server struct {
 	queue      chan *Run
 	wg         sync.WaitGroup
 	nRunning   atomic.Int64
-	traceSeq   atomic.Int64 // trace-requesting submissions, for the sampler
 
 	mu       sync.Mutex
 	closed   bool
 	seq      int64
+	traceSeq int64 // admitted trace-requesting submissions, for the sampler
 	runs     map[string]*Run
 	terminal []string // terminal run ids in completion order, for eviction
 	tenants  map[string]*tenantState
@@ -480,9 +480,19 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	r.ID = fmt.Sprintf("r-%d", s.seq)
 	r.ctx, r.cancel = context.WithCancel(s.baseCtx)
 	r.enqueued = time.Now()
+	// Tracing is decided at admission so the decision is stable for the
+	// run's whole life: Spec.Trace asks, the sampler grants. The recorders
+	// are built before the queue send, because an executor may start the
+	// run the moment it is queued. A run the queue refuses hands its sampler
+	// draw back, so the sampler stays exact over admitted runs.
+	traceSeq := s.traceSeq
+	if req.Spec.Trace && s.sampleTrace() {
+		s.traceRun(r)
+	}
 	select {
 	case s.queue <- r:
 	default:
+		s.traceSeq = traceSeq
 		s.mu.Unlock()
 		return nil, s.reject("service.rejected.queue",
 			&TooBusyError{Reason: "queue full", Tenant: tenant, RetryAfter: time.Second}, r)
@@ -490,23 +500,6 @@ func (s *Server) Submit(req *schema.RunRequest, tenant string) (*Run, error) {
 	ts.inflight++
 	s.runs[r.ID] = r
 	s.mu.Unlock()
-
-	// Tracing is decided at admission so the decision is stable for the
-	// run's whole life: Spec.Trace asks, the sampler grants. The recorder and
-	// provenance tracer are private to the run (its stats counters are the
-	// run's own, not the server's) and ride the Run into the terminal ring.
-	if req.Spec.Trace && s.sampleTrace() {
-		r.Traced = true
-		r.rec = telemetry.New(s.cfg.TraceEventCap)
-		r.prov = telemetry.NewProvenance()
-		// The schedule recorder rides along with the trace: every traced run
-		// is replayable (GET /trace?format=schedule → POST /v1/replay).
-		kind := replay.KindGamma
-		if r.Kind == schema.KindDataflow {
-			kind = replay.KindDataflow
-		}
-		r.sched = replay.NewRecorder(kind, r.ID)
-	}
 
 	s.count("service.submitted", 1, tenant, r.Engine)
 	s.gaugeAdd("service.queue_depth", 1, tenant, r.Engine)
@@ -529,13 +522,31 @@ func (s *Server) reject(counter string, busy *TooBusyError, r *Run) error {
 // sampleTrace is the deterministic trace sampler: with rate p, the i-th
 // trace-requesting submission is traced iff the scaled counter ⌊(i+1)p⌋
 // crosses an integer — exactly ⌊np⌋ of the first n requesters, no RNG.
+// Requires s.mu.
 func (s *Server) sampleTrace() bool {
 	p := s.cfg.TraceSample
 	if p <= 0 {
 		return false
 	}
-	i := s.traceSeq.Add(1) - 1
+	i := s.traceSeq
+	s.traceSeq++
 	return int64(float64(i+1)*p) > int64(float64(i)*p)
+}
+
+// traceRun equips an admitted run with its trace recorders. The recorder and
+// provenance tracer are private to the run (its stats counters are the
+// run's own, not the server's) and ride the Run into the terminal ring.
+func (s *Server) traceRun(r *Run) {
+	r.Traced = true
+	r.rec = telemetry.New(s.cfg.TraceEventCap)
+	r.prov = telemetry.NewProvenance()
+	// The schedule recorder rides along with the trace: every traced run
+	// is replayable (GET /trace?format=schedule → POST /v1/replay).
+	kind := replay.KindGamma
+	if r.Kind == schema.KindDataflow {
+		kind = replay.KindDataflow
+	}
+	r.sched = replay.NewRecorder(kind, r.ID)
 }
 
 // Lookup returns a run by id.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/paper"
 	"repro/internal/schema"
@@ -396,5 +397,97 @@ func TestStructuredLogCorrelation(t *testing.T) {
 	}
 	if rejected == nil || rejected.Level != "WARN" || rejected.Reason != "concurrency quota" {
 		t.Errorf("rejection record missing or wrong: %+v", rejected)
+	}
+}
+
+// TestSubmitTracedRunsRace submits trace-requesting runs while the test
+// drains the queue the way an executor does, waiting at the receive before
+// each submission. An executor may start a run the moment it is queued, so
+// every trace field must be set before the queue send: a field written
+// after it is read here with no synchronization in between, which -race
+// reports, and without -race the run can start with a nil recorder. The
+// sampler still grants exactly half of the admitted asks at rate 0.5.
+func TestSubmitTracedRunsRace(t *testing.T) {
+	const n = 40
+	s := New(Config{Pool: 1, QueueDepth: n, TraceSample: 0.5})
+	defer s.Close()
+	// A divergent run occupies the only executor, so the test is the
+	// queue's sole consumer.
+	spinReq := schema.NewGammaRequest(counterProgram, counterInit, schema.RunSpec{})
+	spin, err := s.Submit(&spinReq, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spin.Cancel()
+	for spin.snapshot().State != schema.StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	ready := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			<-ready
+			req := schema.NewGammaRequest(paper.Example1GammaListing, paper.Example1InitialMultiset,
+				schema.RunSpec{Engine: schema.EngineSeq, MaxSteps: 10000, Trace: true})
+			if _, err := s.Submit(&req, ""); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	traced := 0
+	for i := 0; i < n; i++ {
+		ready <- struct{}{}
+		var r *Run
+		select {
+		case r = <-s.queue:
+		case err := <-errs:
+			t.Fatal(err)
+		}
+		if r.Traced {
+			traced++
+			if r.rec == nil || r.prov == nil || r.sched == nil {
+				t.Fatalf("run %s dequeued traced with rec=%v prov=%v sched=%v", r.ID, r.rec, r.prov, r.sched)
+			}
+		}
+		s.execute(r)
+		if err := r.Err(); err != nil {
+			t.Fatalf("run %s: %v", r.ID, err)
+		}
+		st, err := s.Stats(r.ID)
+		if err != nil {
+			t.Fatalf("run %s stats: %v", r.ID, err)
+		}
+		if st.Traced && (st.Firings != st.Steps || st.Steps == 0) {
+			t.Errorf("run %s: firings %d, steps %d", r.ID, st.Firings, st.Steps)
+		}
+	}
+	if traced != n/2 {
+		t.Errorf("sampler traced %d of %d admitted asks at rate 0.5, want %d", traced, n, n/2)
+	}
+}
+
+// TestRejectedRunReturnsTraceDraw pins the sampler's exactness over admitted
+// runs: a trace-requesting run the full queue refuses takes no sampler draw.
+func TestRejectedRunReturnsTraceDraw(t *testing.T) {
+	s, ts := newTestServer(t, Config{Pool: 1, QueueDepth: 1, TraceSample: 0.5})
+	spin := schema.NewGammaRequest(counterProgram, counterInit, schema.RunSpec{})
+	_, first := postRun(t, ts, spin, "", "")
+	waitState(t, ts, first.ID, schema.StateRunning)
+	if hres, _ := postRun(t, ts, spin, "", ""); hres.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued run: status = %d, want 202", hres.StatusCode)
+	}
+	ask := spin
+	ask.Spec.Trace = true
+	for i := 0; i < 3; i++ {
+		if hres, _ := postRun(t, ts, ask, "", ""); hres.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("over-queue run: status = %d, want 429", hres.StatusCode)
+		}
+	}
+	s.mu.Lock()
+	draws := s.traceSeq
+	s.mu.Unlock()
+	if draws != 0 {
+		t.Errorf("rejected trace asks took %d sampler draws, want 0", draws)
 	}
 }
